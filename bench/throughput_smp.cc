@@ -92,8 +92,6 @@ const char* FenceName(TlbMmu::FenceMode mode) {
       return "fenced";
     case TlbMmu::FenceMode::kMembarrier:
       return "membarrier";
-    case TlbMmu::FenceMode::kUniprocessor:
-      return "uniprocessor";
     default:
       return "auto";
   }

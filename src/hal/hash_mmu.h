@@ -1,119 +1,56 @@
 // HashMmu: an inverted/hashed page-table MMU model, in the style of the custom MMU
 // of the Telmat T3000 mentioned in the paper's portability table (Table 5).
 //
-// A hash maps (address space, virtual page number) to a PTE.  It is behaviourally
-// identical to SoftMmu; the PVM runs unmodified on either, which is the paper's
-// portability claim made executable.
-//
-// Like SoftMmu, internal state is sharded by address space so concurrent CPUs in
-// different address spaces do not serialize on one table lock (each shard owns
-// the slice of the inverted table for its address spaces).
+// A hash maps (address space, virtual page number) to a PTE.  This file is the
+// whole port: the base-PTE store.  Sharding, counters and the huge granule come
+// from the shared MmuCore (mmu_core.h), so the two MMUs behave identically by
+// construction and the PVM runs unmodified on either — the paper's portability
+// claim made executable.  Each lock shard owns the slice of the inverted table
+// for its address spaces.
 #ifndef GVM_SRC_HAL_HASH_MMU_H_
 #define GVM_SRC_HAL_HASH_MMU_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
-#include "src/hal/mmu.h"
-#include "src/sync/annotated_mutex.h"
+#include "src/hal/mmu_core.h"
 
 namespace gvm {
 
-class HashMmu final : public Mmu {
+class HashPteStore {
  public:
-  static constexpr size_t kLockShards = 16;
-
-  // `huge_pages` is the second granule in base pages (power of two); 0 picks
-  // the default of 512KB / page_size, and a value <= 1 disables huge pages.
-  explicit HashMmu(size_t page_size, size_t huge_pages = 0);
-
-  Result<AsId> CreateAddressSpace() override;
-  [[nodiscard]] Status DestroyAddressSpace(AsId as) override;
-  [[nodiscard]] Status Map(AsId as, Vaddr va, FrameIndex frame, Prot prot) override;
-  [[nodiscard]] Status Unmap(AsId as, Vaddr va) override;
-  [[nodiscard]] Result<MmuEntry> UnmapCollect(AsId as, Vaddr va) override;
-  [[nodiscard]] Status Protect(AsId as, Vaddr va, Prot prot) override;
-  Result<FrameIndex> Translate(AsId as, Vaddr va, Access access) override;
-  Result<FrameIndex> TranslateAndAccess(AsId as, Vaddr va, Access access,
-                                        FrameBodyRef body) override;
-  Result<MmuEntry> Lookup(AsId as, Vaddr va) const override;
-  Result<bool> TestAndClearReferenced(AsId as, Vaddr va) override;
-
-  size_t huge_page_size() const override {
-    return huge_ratio_ > 1 ? page_size_ * huge_ratio_ : 0;
-  }
-  [[nodiscard]] Status MapHuge(AsId as, Vaddr va, FrameIndex frame, Prot prot) override;
-  [[nodiscard]] Status DemoteHuge(AsId as, Vaddr va) override;
-  Result<FrameIndex> TranslateAndAccessInfo(AsId as, Vaddr va, Access access, FrameBodyRef body,
-                                            MmuTranslateInfo* info) override;
-
-  size_t page_size() const override { return page_size_; }
-  // Aggregates the per-shard counters; a consistent total only at quiescence.
-  Stats stats() const override;
-  void ResetStats() override;
-  const char* name() const override { return "HashMmu(inverted)"; }
-
- private:
-  struct Pte {
-    FrameIndex frame = kInvalidFrame;
-    Prot prot = Prot::kNone;
-    bool referenced = false;
-    bool dirty = false;
-  };
-
-  // One huge translation: a huge-aligned span backed by the contiguous frame
-  // run [frame, frame + huge_ratio_), with ONE shared referenced/dirty bit for
-  // the whole span (see the Mmu huge-granule contract in mmu.h).
-  struct HugePte {
-    FrameIndex frame = kInvalidFrame;
-    Prot prot = Prot::kNone;
-    bool referenced = false;
-    bool dirty = false;
-  };
-
   struct KeyHash {
     size_t operator()(const std::pair<AsId, uint64_t>& k) const {
       return std::hash<uint64_t>()((static_cast<uint64_t>(k.first) << 40) ^ k.second);
     }
   };
-
-  // Same atomic-walk guarantee as SoftMmu: translation and table updates for an
-  // address space are serialized by its shard, so a translate-and-access cannot
-  // interleave with an unmap.  No operation holds two shards at once (all
-  // shards share rank kMmuShard; the lock-rank validator enforces this).
-  // Read-only operations (Lookup, stats) take the shard shared.
-  struct alignas(64) Shard {
-    mutable SharedMutex mu{Rank::kMmuShard, "HashMmu::Shard::mu"};
-    std::unordered_set<AsId> live_spaces GVM_GUARDED_BY(mu);
-    // Per-space set of mapped VPNs, needed to tear a space down without scanning
-    // the whole hash (real inverted-page-table systems keep similar lists).
-    std::unordered_map<AsId, std::unordered_set<uint64_t>> space_pages GVM_GUARDED_BY(mu);
-    std::unordered_map<std::pair<AsId, uint64_t>, Pte, KeyHash> table GVM_GUARDED_BY(mu);
-    // Huge translations keyed by (as, huge vpn), plus the per-space huge-vpn
-    // set that teardown walks (same reason space_pages exists).
-    std::unordered_map<std::pair<AsId, uint64_t>, HugePte, KeyHash> huge_table GVM_GUARDED_BY(mu);
-    std::unordered_map<AsId, std::unordered_set<uint64_t>> space_huge GVM_GUARDED_BY(mu);
-    Stats stats GVM_GUARDED_BY(mu);
+  struct ShardPtes {
+    std::unordered_map<std::pair<AsId, uint64_t>, Pte, KeyHash> table;
+  };
+  struct SpacePtes {
+    // The space's mapped VPNs, so teardown need not scan the whole hash (real
+    // inverted-page-table systems keep similar lists).
+    std::unordered_set<uint64_t> vpns;
   };
 
-  uint64_t Vpn(Vaddr va) const { return va >> page_shift_; }
-  uint64_t Hvpn(Vaddr va) const { return Vpn(va) >> huge_shift_; }
-  Shard& ShardFor(AsId as) const { return shards_[as % kLockShards]; }
-  Result<FrameIndex> TranslateLocked(Shard& shard, AsId as, Vaddr va, Access access,
-                                     MmuTranslateInfo* info) GVM_REQUIRES(shard.mu);
-  // Splits the huge span (as, hvpn) into base PTEs.  Returns true if a span
-  // existed (auto-demote sites use it to widen UnmapCollect's report).
-  bool SplitHugeLocked(Shard& shard, AsId as, uint64_t hvpn) GVM_REQUIRES(shard.mu);
+  void DropSpace(ShardPtes& shard, AsId as, SpacePtes& space) const;
+  Pte* Find(ShardPtes& shard, AsId as, SpacePtes& space, uint64_t vpn) const;
+  Pte& Install(ShardPtes& shard, AsId as, SpacePtes& space, uint64_t vpn) const;
+  std::optional<Pte> Erase(ShardPtes& shard, AsId as, SpacePtes& space, uint64_t vpn) const;
+};
 
-  const size_t page_size_;
-  const unsigned page_shift_;
-  const size_t huge_ratio_;   // base pages per huge page; <= 1 means disabled
-  const unsigned huge_shift_;
-  std::atomic<AsId> next_as_{0};
-  mutable std::array<Shard, kLockShards> shards_;
+extern template class MmuCore<HashPteStore>;
+
+class HashMmu final : public MmuCore<HashPteStore> {
+ public:
+  // `huge_pages` is the second granule in base pages (power of two); 0 picks
+  // the default of 512KB / page_size, and a value <= 1 disables huge pages.
+  explicit HashMmu(size_t page_size, size_t huge_pages = 0);
+
+  const char* name() const override { return "HashMmu(inverted)"; }
 };
 
 }  // namespace gvm

@@ -6,6 +6,10 @@
 // iAPX 386 by rewriting only this layer):
 //   * SoftMmu — two-level page tables, in the style of the PMMU / i386.
 //   * HashMmu — a hashed/inverted page table, in the style of custom MMUs.
+// Both are the shared MmuCore (mmu_core.h) over a port-specific base-PTE store.
+// The core implements this whole interface once — sharding, counters and the
+// second granule below — so a new port writes only the store: create and drop
+// a space, find, install and erase a base PTE.
 //
 // The interface deals in page-aligned virtual addresses and page frames only; all
 // policy (what to map, when, with which protection) lives above it.

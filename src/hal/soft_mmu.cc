@@ -1,424 +1,60 @@
 #include "src/hal/soft_mmu.h"
 
-#include <bit>
 #include <cassert>
-
-#include "src/util/align.h"
 
 namespace gvm {
 
-namespace {
-
-// 0 = "pick the default": a 512KB second granule, in base pages.  Anything
-// that resolves to <= 1 base page disables huge mappings entirely.
-size_t ResolveHugeRatio(size_t page_size, size_t huge_pages) {
-  size_t ratio = huge_pages != 0 ? huge_pages : (512 * 1024) / page_size;
-  if (ratio <= 1) {
-    return 1;
+Pte* SoftPteStore::Find(ShardPtes&, AsId, SpacePtes& space, uint64_t vpn) const {
+  auto it = space.directory.find(DirIndex(vpn));
+  if (it == space.directory.end()) {
+    return nullptr;
   }
-  assert(IsPowerOfTwo(ratio));
-  return ratio;
+  Pte& pte = it->second->entries[LeafIndex(vpn)];
+  return pte.frame != kInvalidFrame ? &pte : nullptr;
 }
 
-}  // namespace
-
-SoftMmu::SoftMmu(size_t page_size, unsigned leaf_bits, size_t huge_pages)
-    : page_size_(page_size),
-      page_shift_(static_cast<unsigned>(std::countr_zero(page_size))),
-      leaf_bits_(leaf_bits),
-      huge_ratio_(ResolveHugeRatio(page_size, huge_pages)),
-      huge_shift_(static_cast<unsigned>(std::countr_zero(huge_ratio_))) {
-  assert(IsPowerOfTwo(page_size));
-  assert(leaf_bits >= 1 && leaf_bits <= 20);
-}
-
-void SoftMmu::InstallPteLocked(Shard& shard, AddressSpace* space, Vaddr va, const Pte& pte) {
-  (void)shard;  // present for the lock annotation only
-  auto& leaf = space->directory[DirIndex(va)];
+Pte& SoftPteStore::Install(ShardPtes&, AsId, SpacePtes& space, uint64_t vpn) const {
+  auto& leaf = space.directory[DirIndex(vpn)];
   if (leaf == nullptr) {
     leaf = std::make_unique<LeafTable>();
     leaf->entries.resize(size_t{1} << leaf_bits_);
   }
-  Pte& slot = leaf->entries[LeafIndex(va)];
-  if (!slot.valid) {
+  Pte& slot = leaf->entries[LeafIndex(vpn)];
+  if (slot.frame == kInvalidFrame) {
     ++leaf->valid_count;
   }
-  slot = pte;
+  return slot;
 }
 
-bool SoftMmu::SplitHugeLocked(Shard& shard, AddressSpace* space, uint64_t hvpn) {
-  auto it = space->huge.find(hvpn);
-  if (it == space->huge.end()) {
-    return false;
+std::optional<Pte> SoftPteStore::Erase(ShardPtes&, AsId, SpacePtes& space, uint64_t vpn) const {
+  auto it = space.directory.find(DirIndex(vpn));
+  if (it == space.directory.end()) {
+    return std::nullopt;
   }
-  // Fan the span out into base PTEs: frame run is contiguous, protection is
-  // uniform, and the shared referenced/dirty bits go to EVERY base page — a
-  // write through the wide entry could have landed anywhere in the span, so
-  // under-marking any page would let eviction drop acknowledged data.
-  const HugePte h = it->second;
-  space->huge.erase(it);
-  const Vaddr base_va = static_cast<Vaddr>(hvpn) << (page_shift_ + huge_shift_);
-  for (size_t i = 0; i < huge_ratio_; ++i) {
-    InstallPteLocked(shard, space, base_va + i * page_size_,
-                     Pte{.frame = static_cast<FrameIndex>(h.frame + i),
-                         .prot = h.prot,
-                         .valid = true,
-                         .referenced = h.referenced,
-                         .dirty = h.dirty});
+  Pte& slot = it->second->entries[LeafIndex(vpn)];
+  if (slot.frame == kInvalidFrame) {
+    return std::nullopt;
   }
-  return true;
-}
-
-Result<AsId> SoftMmu::CreateAddressSpace() {
-  AsId as = next_as_.fetch_add(1, std::memory_order_relaxed);
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  shard.spaces.emplace(as, AddressSpace{});
-  ++shard.stats.spaces_created;
-  return as;
-}
-
-Status SoftMmu::DestroyAddressSpace(AsId as) {
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  auto it = shard.spaces.find(as);
-  if (it == shard.spaces.end()) {
-    return Status::kNotFound;
-  }
-  shard.spaces.erase(it);
-  ++shard.stats.spaces_destroyed;
-  return Status::kOk;
-}
-
-SoftMmu::AddressSpace* SoftMmu::FindSpace(Shard& shard, AsId as) {
-  auto it = shard.spaces.find(as);
-  return it == shard.spaces.end() ? nullptr : &it->second;
-}
-
-SoftMmu::Pte* SoftMmu::FindPte(Shard& shard, AsId as, Vaddr va) const {
-  AddressSpace* space = FindSpace(shard, as);
-  if (space == nullptr) {
-    return nullptr;
-  }
-  auto it = space->directory.find(DirIndex(va));
-  if (it == space->directory.end()) {
-    return nullptr;
-  }
-  Pte& pte = it->second->entries[LeafIndex(va)];
-  return pte.valid ? &pte : nullptr;
-}
-
-Status SoftMmu::Map(AsId as, Vaddr va, FrameIndex frame, Prot prot) {
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  AddressSpace* space = FindSpace(shard, as);
-  if (space == nullptr) {
-    return Status::kNotFound;
-  }
-  if (huge_ratio_ > 1) {
-    SplitHugeLocked(shard, space, Hvpn(va));  // base-granule op inside a span demotes it
-  }
-  auto& leaf = space->directory[DirIndex(va)];
-  if (leaf == nullptr) {
-    leaf = std::make_unique<LeafTable>();
-    leaf->entries.resize(size_t{1} << leaf_bits_);
-  }
-  Pte& pte = leaf->entries[LeafIndex(va)];
-  if (!pte.valid) {
-    ++leaf->valid_count;
-  }
-  // Same-frame re-map is a protection change in place: the accessed/modified
-  // bits survive, per the Mmu::Map contract (TlbMmu's write-hit path relies on
-  // the dirty bit not being wiped under a still-valid cached entry).
-  const bool same_frame = pte.valid && pte.frame == frame;
-  pte = Pte{.frame = frame,
-            .prot = prot,
-            .valid = true,
-            .referenced = same_frame && pte.referenced,
-            .dirty = same_frame && pte.dirty};
-  ++shard.stats.maps;
-  return Status::kOk;
-}
-
-Status SoftMmu::Unmap(AsId as, Vaddr va) {
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  AddressSpace* space = FindSpace(shard, as);
-  if (space == nullptr) {
-    return Status::kNotFound;
-  }
-  if (huge_ratio_ > 1) {
-    SplitHugeLocked(shard, space, Hvpn(va));  // base-granule op inside a span demotes it
-  }
-  auto it = space->directory.find(DirIndex(va));
-  if (it == space->directory.end()) {
-    return Status::kOk;  // already unmapped
-  }
-  Pte& pte = it->second->entries[LeafIndex(va)];
-  if (pte.valid) {
-    pte = Pte{};
-    ++shard.stats.unmaps;
-    if (--it->second->valid_count == 0) {
-      space->directory.erase(it);  // reclaim empty leaf tables
-    }
-  }
-  return Status::kOk;
-}
-
-Result<MmuEntry> SoftMmu::UnmapCollect(AsId as, Vaddr va) {
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  AddressSpace* space = FindSpace(shard, as);
-  if (space == nullptr) {
-    return Status::kNotFound;
-  }
-  const bool was_huge =
-      huge_ratio_ > 1 && SplitHugeLocked(shard, space, Hvpn(va));  // demote, then collect
-  auto it = space->directory.find(DirIndex(va));
-  if (it == space->directory.end()) {
-    return Status::kNotFound;
-  }
-  Pte& pte = it->second->entries[LeafIndex(va)];
-  if (!pte.valid) {
-    return Status::kNotFound;
-  }
-  const MmuEntry removed{.frame = pte.frame,
-                         .prot = pte.prot,
-                         .referenced = pte.referenced,
-                         .dirty = pte.dirty,
-                         .huge = was_huge};
-  pte = Pte{};
-  ++shard.stats.unmaps;
+  const Pte removed = slot;
+  slot = Pte{};
   if (--it->second->valid_count == 0) {
-    space->directory.erase(it);  // reclaim empty leaf tables
+    space.directory.erase(it);  // reclaim empty leaf tables
   }
   return removed;
 }
 
-Status SoftMmu::Protect(AsId as, Vaddr va, Prot prot) {
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  if (huge_ratio_ > 1) {
-    AddressSpace* space = FindSpace(shard, as);
-    if (space != nullptr) {
-      SplitHugeLocked(shard, space, Hvpn(va));  // protection split demotes the span
-    }
-  }
-  Pte* pte = FindPte(shard, as, va);
-  if (pte == nullptr) {
-    return Status::kNotFound;
-  }
-  pte->prot = prot;
-  ++shard.stats.protects;
-  return Status::kOk;
-}
+template class MmuCore<SoftPteStore>;
 
-Result<FrameIndex> SoftMmu::Translate(AsId as, Vaddr va, Access access) {
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  return TranslateLocked(shard, as, va, access, nullptr);
-}
-
-Result<FrameIndex> SoftMmu::TranslateAndAccess(AsId as, Vaddr va, Access access,
-                                               FrameBodyRef body) {
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  Result<FrameIndex> frame = TranslateLocked(shard, as, va, access, nullptr);
-  if (frame.ok()) {
-    body(*frame);
-  }
-  return frame;
-}
-
-Result<FrameIndex> SoftMmu::TranslateAndAccessInfo(AsId as, Vaddr va, Access access,
-                                                   FrameBodyRef body, MmuTranslateInfo* info) {
-  *info = MmuTranslateInfo{};
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  Result<FrameIndex> frame = TranslateLocked(shard, as, va, access, info);
-  if (frame.ok()) {
-    body(*frame);
-  }
-  return frame;
-}
-
-Result<FrameIndex> SoftMmu::TranslateLocked(Shard& shard, AsId as, Vaddr va, Access access,
-                                            MmuTranslateInfo* info) {
-  ++shard.stats.translations;
-  Pte* pte = FindPte(shard, as, va);
-  if (pte != nullptr) {
-    if (!ProtAllows(pte->prot, AccessProt(access))) {
-      ++shard.stats.faults;
-      return Status::kProtectionFault;
-    }
-    pte->referenced = true;
-    if (access == Access::kWrite) {
-      pte->dirty = true;
-    }
-    return pte->frame;
-  }
-  if (huge_ratio_ > 1) {
-    AddressSpace* space = FindSpace(shard, as);
-    if (space != nullptr) {
-      auto it = space->huge.find(Hvpn(va));
-      if (it != space->huge.end()) {
-        HugePte& h = it->second;
-        if (!ProtAllows(h.prot, AccessProt(access))) {
-          ++shard.stats.faults;
-          return Status::kProtectionFault;
-        }
-        h.referenced = true;
-        if (access == Access::kWrite) {
-          h.dirty = true;  // shared bit: the span as a whole is dirty
-        }
-        if (info != nullptr) {
-          info->huge = true;
-          info->huge_frame = h.frame;
-        }
-        return static_cast<FrameIndex>(h.frame + (Vpn(va) & (huge_ratio_ - 1)));
-      }
-    }
-  }
-  ++shard.stats.faults;
-  return Status::kSegmentationFault;
-}
-
-Result<MmuEntry> SoftMmu::Lookup(AsId as, Vaddr va) const {
-  Shard& shard = ShardFor(as);
-  ReaderLock guard(shard.mu);
-  const Pte* pte = FindPte(shard, as, va);
-  if (pte != nullptr) {
-    return MmuEntry{.frame = pte->frame,
-                    .prot = pte->prot,
-                    .referenced = pte->referenced,
-                    .dirty = pte->dirty};
-  }
-  if (huge_ratio_ > 1) {
-    // Per-base-page view of a huge span, without demoting: callers that audit
-    // page-by-page state (debug invariants) see the frame each page resolves
-    // to, flagged huge.
-    auto sit = shard.spaces.find(as);
-    if (sit != shard.spaces.end()) {
-      auto it = sit->second.huge.find(Hvpn(va));
-      if (it != sit->second.huge.end()) {
-        const HugePte& h = it->second;
-        return MmuEntry{.frame = static_cast<FrameIndex>(h.frame + (Vpn(va) & (huge_ratio_ - 1))),
-                        .prot = h.prot,
-                        .referenced = h.referenced,
-                        .dirty = h.dirty,
-                        .huge = true};
-      }
-    }
-  }
-  return Status::kNotFound;
-}
-
-Result<bool> SoftMmu::TestAndClearReferenced(AsId as, Vaddr va) {
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  Pte* pte = FindPte(shard, as, va);
-  if (pte != nullptr) {
-    bool was = pte->referenced;
-    pte->referenced = false;
-    return was;
-  }
-  if (huge_ratio_ > 1) {
-    AddressSpace* space = FindSpace(shard, as);
-    if (space != nullptr) {
-      auto it = space->huge.find(Hvpn(va));
-      if (it != space->huge.end()) {
-        // Shared bit: clearing it through any page of the span clears it for
-        // the whole span (the clock treats the span as one unit of reuse).
-        bool was = it->second.referenced;
-        it->second.referenced = false;
-        return was;
-      }
-    }
-  }
-  return Status::kNotFound;
-}
-
-Status SoftMmu::MapHuge(AsId as, Vaddr va, FrameIndex frame, Prot prot) {
-  if (huge_ratio_ <= 1) {
-    return Status::kUnsupported;
-  }
-  if ((va & (page_size_ * huge_ratio_ - 1)) != 0) {
-    return Status::kInvalidArgument;
-  }
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  AddressSpace* space = FindSpace(shard, as);
-  if (space == nullptr) {
-    return Status::kNotFound;
-  }
-  // The wide entry supersedes any base translations inside the span.
-  for (size_t i = 0; i < huge_ratio_; ++i) {
-    const Vaddr pva = va + i * page_size_;
-    auto it = space->directory.find(DirIndex(pva));
-    if (it == space->directory.end()) {
-      continue;
-    }
-    Pte& pte = it->second->entries[LeafIndex(pva)];
-    if (pte.valid) {
-      pte = Pte{};
-      if (--it->second->valid_count == 0) {
-        space->directory.erase(it);
-      }
-    }
-  }
-  // Same-run re-map is a protection change in place, mirroring Map's contract:
-  // the shared referenced/dirty bits survive.  A fresh insert default-
-  // constructs frame = kInvalidFrame, so the bits start clear.
-  HugePte& h = space->huge[Hvpn(va)];
-  const bool same_run = h.frame == frame;
-  h = HugePte{.frame = frame,
-              .prot = prot,
-              .referenced = same_run && h.referenced,
-              .dirty = same_run && h.dirty};
-  ++shard.stats.maps;
-  return Status::kOk;
-}
-
-Status SoftMmu::DemoteHuge(AsId as, Vaddr va) {
-  if (huge_ratio_ <= 1) {
-    return Status::kNotFound;
-  }
-  Shard& shard = ShardFor(as);
-  WriterLock guard(shard.mu);
-  AddressSpace* space = FindSpace(shard, as);
-  if (space == nullptr) {
-    return Status::kNotFound;
-  }
-  return SplitHugeLocked(shard, space, Hvpn(va)) ? Status::kOk : Status::kNotFound;
+SoftMmu::SoftMmu(size_t page_size, unsigned leaf_bits, size_t huge_pages)
+    : MmuCore(page_size, huge_pages, SoftPteStore(leaf_bits)) {
+  assert(leaf_bits >= 1 && leaf_bits <= 20);
 }
 
 size_t SoftMmu::LeafTableCount(AsId as) const {
   Shard& shard = ShardFor(as);
   ReaderLock guard(shard.mu);
-  const AddressSpace* space = FindSpace(shard, as);
-  return space == nullptr ? 0 : space->directory.size();
-}
-
-Mmu::Stats SoftMmu::stats() const {
-  Stats out;
-  for (Shard& shard : shards_) {
-    ReaderLock guard(shard.mu);
-    out.maps += shard.stats.maps;
-    out.unmaps += shard.stats.unmaps;
-    out.protects += shard.stats.protects;
-    out.translations += shard.stats.translations;
-    out.faults += shard.stats.faults;
-    out.spaces_created += shard.stats.spaces_created;
-    out.spaces_destroyed += shard.stats.spaces_destroyed;
-  }
-  return out;
-}
-
-void SoftMmu::ResetStats() {
-  for (Shard& shard : shards_) {
-    WriterLock guard(shard.mu);
-    shard.stats = Stats{};
-  }
+  const Space* space = FindSpace(shard, as);
+  return space == nullptr ? 0 : space->ptes.directory.size();
 }
 
 }  // namespace gvm

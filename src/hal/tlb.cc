@@ -48,10 +48,6 @@ void MembarrierAllThreads() {}
 TlbMmu::FenceMode ResolveFence(TlbMmu::FenceMode requested) {
   switch (requested) {
     case TlbMmu::FenceMode::kAuto:
-      // Never auto-select kUniprocessor: the online-CPU count is a snapshot
-      // (cpusets and hotplug can add CPUs later), and a fence-free reader on
-      // what has become an SMP host could keep using a stale translation
-      // across a shootdown.  Fence-free mode is an explicit caller assertion.
       return MembarrierAvailable() ? TlbMmu::FenceMode::kMembarrier : TlbMmu::FenceMode::kFenced;
     case TlbMmu::FenceMode::kMembarrier:
       // Registration is required before PRIVATE_EXPEDITED may be used.
@@ -244,9 +240,7 @@ void TlbMmu::FenceAndDrain() {
   // The expensive half of the asymmetric barrier (the "IPI").  After this,
   // every reader's epoch store — a plain store the reader never fences — is
   // visible to us, and every reader still short of its generation check will
-  // observe the bump (an interrupted load replays after the barrier).  On a
-  // uniprocessor host neither is needed: we are running, so no reader is, and
-  // its last context switch already ordered its stores before ours.
+  // observe the bump (an interrupted load replays after the barrier).
   if (fence_ == FenceMode::kMembarrier) {
     MembarrierAllThreads();
   }

@@ -33,11 +33,8 @@
 //     shootdown IPI (and like Linux's sys_membarrier / mmu_gather): readers
 //     execute plain stores with only a compiler barrier, and the shootdown
 //     side forces a barrier onto every running thread — via
-//     membarrier(PRIVATE_EXPEDITED) on Linux, via nothing at all when the
-//     caller explicitly asserts a uniprocessor host (a context switch is a
-//     full barrier; never auto-detected, because the online-CPU count is a
-//     snapshot that cpusets or hotplug can grow later), and by falling back
-//     to a per-access seq_cst fence where neither applies.
+//     membarrier(PRIVATE_EXPEDITED) on Linux, and by falling back to a
+//     per-access seq_cst fence where that is unavailable.
 //
 // Entries are written exclusively by their owning CPU; cross-CPU invalidation
 // is purely logical (a generation mismatch), so the hit path is data-race-free
@@ -97,9 +94,6 @@ class TlbMmu final : public Mmu {
     kAuto,         // resolve at construction: kMembarrier when available, else kFenced
     kFenced,       // reader pays a seq_cst fence on every access (portable)
     kMembarrier,   // readers fence-free; shootdown runs membarrier(PRIVATE_EXPEDITED)
-    kUniprocessor, // readers fence-free; caller asserts a single-CPU host for the
-                   // process lifetime (never auto-selected: the online-CPU count
-                   // is a snapshot that cpusets or hotplug can grow later)
   };
 
   // When `enabled` is false every call delegates straight to `inner` (used by

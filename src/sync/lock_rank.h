@@ -75,7 +75,7 @@ enum class Rank : int {
   // kick it while holding mu_; the daemon itself never holds the latch while
   // acquiring any other lock.
   kPageoutDaemon = 36,
-  // SoftMmu / HashMmu per-address-space lock shards.  Acquired under the
+  // MmuCore per-address-space lock shards (every port).  Acquired under the
   // manager lock on the table-update path and bare on the CPU access path;
   // never two shards at once (equal rank trips the validator).
   kMmuShard = 40,

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "src/hal/cpu.h"
 #include "src/hal/hash_mmu.h"
@@ -64,9 +66,18 @@ TEST(PhysicalMemoryTest, CopyAndZeroFrame) {
 
 using MmuFactory = std::function<std::unique_ptr<Mmu>(size_t)>;
 
-class MmuTest : public ::testing::TestWithParam<std::pair<const char*, MmuFactory>> {
+struct MmuCase {
+  const char* name;
+  MmuFactory make;
+};
+
+// Print the case by name so the listed test names stay the same from one
+// build and run to the next (the default printer dumps raw pointer bytes).
+void PrintTo(const MmuCase& c, std::ostream* os) { *os << c.name; }
+
+class MmuTest : public ::testing::TestWithParam<MmuCase> {
  protected:
-  void SetUp() override { mmu_ = GetParam().second(kPage); }
+  void SetUp() override { mmu_ = GetParam().make(kPage); }
   std::unique_ptr<Mmu> mmu_;
 };
 
@@ -158,17 +169,48 @@ TEST_P(MmuTest, SparseHugeAddresses) {
   }
 }
 
+// One fixed script, exact counters: every port counts through the shared core,
+// so the numbers cannot drift apart.  Teardown of a space with live mappings
+// counts only spaces_destroyed, never an unmap per surviving entry.
+TEST_P(MmuTest, StatsFollowOneRuleOnEveryPort) {
+  const Vaddr huge_va = mmu_->huge_page_size();
+  ASSERT_NE(huge_va, 0u);
+  AsId as = *mmu_->CreateAddressSpace();
+  ASSERT_EQ(mmu_->Map(as, 0x1000, 1, Prot::kReadWrite), Status::kOk);
+  ASSERT_EQ(mmu_->Map(as, 0x2000, 2, Prot::kReadWrite), Status::kOk);
+  ASSERT_EQ(mmu_->MapHuge(as, huge_va, 256, Prot::kReadWrite), Status::kOk);
+  ASSERT_EQ(mmu_->Protect(as, 0x1000, Prot::kRead), Status::kOk);
+  EXPECT_EQ(mmu_->Protect(as, 0x5000, Prot::kRead), Status::kNotFound);
+  EXPECT_EQ(*mmu_->Translate(as, 0x1000, Access::kRead), 1u);
+  EXPECT_EQ(mmu_->Translate(as, 0x1000, Access::kWrite).status(), Status::kProtectionFault);
+  EXPECT_EQ(*mmu_->Translate(as, huge_va + kPage, Access::kWrite), 257u);
+  EXPECT_EQ(mmu_->Translate(as, 0x5000, Access::kRead).status(), Status::kSegmentationFault);
+  ASSERT_EQ(mmu_->Unmap(as, 0x2000), Status::kOk);
+  ASSERT_EQ(mmu_->Unmap(as, 0x5000), Status::kOk);  // nothing there: not counted
+  ASSERT_EQ(mmu_->DestroyAddressSpace(as), Status::kOk);  // 0x1000 and the span still live
+
+  const Mmu::Stats s = mmu_->stats();
+  EXPECT_EQ(s.maps, 3u);
+  EXPECT_EQ(s.unmaps, 1u);
+  EXPECT_EQ(s.protects, 1u);
+  EXPECT_EQ(s.translations, 4u);
+  EXPECT_EQ(s.faults, 2u);
+  EXPECT_EQ(s.spaces_created, 1u);
+  EXPECT_EQ(s.spaces_destroyed, 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllMmus, MmuTest,
     ::testing::Values(
-        std::make_pair("SoftMmu",
-                       MmuFactory([](size_t page) -> std::unique_ptr<Mmu> {
-                         return std::make_unique<SoftMmu>(page);
-                       })),
-        std::make_pair("HashMmu", MmuFactory([](size_t page) -> std::unique_ptr<Mmu> {
-                         return std::make_unique<HashMmu>(page);
-                       }))),
-    [](const auto& info) { return info.param.first; });
+        MmuCase{"SoftMmu",
+                [](size_t page) -> std::unique_ptr<Mmu> {
+                  return std::make_unique<SoftMmu>(page);
+                }},
+        MmuCase{"HashMmu",
+                [](size_t page) -> std::unique_ptr<Mmu> {
+                  return std::make_unique<HashMmu>(page);
+                }}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(SoftMmuTest, LeafTablesAreReclaimed) {
   SoftMmu mmu(kPage, /*leaf_bits=*/4);

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <random>
 #include <string>
 #include <thread>
@@ -44,6 +45,10 @@ struct MmuFactory {
   const char* name;
   std::function<std::unique_ptr<Mmu>(size_t huge_pages)> make;
 };
+
+// Print the factory by name so the listed test names stay the same from one
+// build and run to the next (the default printer dumps raw pointer bytes).
+void PrintTo(const MmuFactory& f, std::ostream* os) { *os << f.name; }
 
 class HugeMmuTest : public ::testing::TestWithParam<MmuFactory> {
  protected:
@@ -173,6 +178,28 @@ TEST_P(HugeMmuTest, SameRunRemapKeepsBitsDifferentRunClearsThem) {
   // Different run: fresh translation, bits start clear.
   ASSERT_EQ(mmu->MapHuge(as, 0, 8, Prot::kReadWrite), Status::kOk);
   EXPECT_FALSE(mmu->Lookup(as, PageVa(0))->dirty);
+}
+
+TEST_P(HugeMmuTest, TeardownDropsALiveSpanAndItsBasePages) {
+  auto mmu = MakeMmu();
+  AsId as = *mmu->CreateAddressSpace();
+  ASSERT_EQ(mmu->MapHuge(as, 0, 4, Prot::kReadWrite), Status::kOk);
+  ASSERT_EQ(mmu->Map(as, PageVa(kRatio + 1), 9, Prot::kReadWrite), Status::kOk);
+  ASSERT_TRUE(mmu->Translate(as, PageVa(1), Access::kWrite).ok());
+  ASSERT_EQ(mmu->DestroyAddressSpace(as), Status::kOk);
+
+  EXPECT_EQ(mmu->Lookup(as, PageVa(1)).status(), Status::kNotFound);
+  EXPECT_EQ(mmu->Lookup(as, PageVa(kRatio + 1)).status(), Status::kNotFound);
+  EXPECT_EQ(mmu->DemoteHuge(as, 0), Status::kNotFound);
+  EXPECT_EQ(mmu->MapHuge(as, 0, 4, Prot::kRead), Status::kNotFound);
+
+  // A new space starts empty at the same addresses.
+  AsId fresh = *mmu->CreateAddressSpace();
+  EXPECT_EQ(mmu->Translate(fresh, PageVa(1), Access::kRead).status(),
+            Status::kSegmentationFault);
+  EXPECT_EQ(mmu->Translate(fresh, PageVa(kRatio + 1), Access::kRead).status(),
+            Status::kSegmentationFault);
+  EXPECT_EQ(mmu->DemoteHuge(fresh, 0), Status::kNotFound);
 }
 
 INSTANTIATE_TEST_SUITE_P(

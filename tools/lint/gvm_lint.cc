@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "tools/lint/clang_frontend.h"
 #include "tools/lint/model.h"
 #include "tools/lint/rules.h"
 
@@ -61,8 +60,8 @@ std::string RelPath(const fs::path& root, const fs::path& p) {
   return s;
 }
 
-// Minimal scrape of compile_commands.json: the "file" values.  The internal
-// frontend needs no flags, only the TU list, so a full JSON parser would be
+// Minimal scrape of compile_commands.json: the "file" values.  The analyzer
+// needs no flags, only the TU list, so a full JSON parser would be
 // dead weight.
 std::vector<std::string> CompdbFiles(const std::string& json) {
   std::vector<std::string> out;
@@ -92,8 +91,7 @@ bool LoadRankTable(const fs::path& root, Project* project) {
 }
 
 int RunTree(const fs::path& root, const std::string& compdb_path,
-            const std::vector<std::string>& dirs, bool use_clang,
-            bool verbose) {
+            const std::vector<std::string>& dirs, bool verbose) {
   Project project;
   if (!LoadRankTable(root, &project)) {
     std::fprintf(stderr,
@@ -146,29 +144,14 @@ int RunTree(const fs::path& root, const std::string& compdb_path,
     return 2;
   }
 
-  if (use_clang) {
-    // Clang frontend: TUs go through libTooling (which sees headers via real
-    // preprocessing), so only the .cc files are handed over.
-    std::vector<std::string> tus;
-    for (const std::string& rel : rel_paths) {
-      if (fs::path(rel).extension() == ".cc") {
-        tus.push_back((root / rel).string());
-      }
-    }
-    if (!gvmlint::ClangParseFiles(compdb_path, tus, &project)) {
-      std::fprintf(stderr, "gvm-lint: error: clang frontend failed\n");
+  for (const std::string& rel : rel_paths) {
+    std::string contents;
+    if (!ReadFile(root / rel, &contents)) {
+      std::fprintf(stderr, "gvm-lint: error: cannot read '%s'\n",
+                   rel.c_str());
       return 2;
     }
-  } else {
-    for (const std::string& rel : rel_paths) {
-      std::string contents;
-      if (!ReadFile(root / rel, &contents)) {
-        std::fprintf(stderr, "gvm-lint: error: cannot read '%s'\n",
-                     rel.c_str());
-        return 2;
-      }
-      gvmlint::ParseFile(rel, rel, contents, &project);
-    }
+    gvmlint::ParseFile(rel, rel, contents, &project);
   }
 
   AnalysisStats stats;
@@ -264,7 +247,6 @@ int main(int argc, char** argv) {
   fs::path root = ".";
   std::string compdb;
   std::string selftest;
-  std::string frontend = "internal";
   bool verbose = false;
   std::vector<std::string> dirs;
   for (int i = 1; i < argc; ++i) {
@@ -293,19 +275,11 @@ int main(int argc, char** argv) {
         return 2;
       }
       selftest = v;
-    } else if (arg == "--frontend") {
-      const char* v = next();
-      if (v == nullptr) {
-        std::fprintf(stderr, "gvm-lint: --frontend needs a value\n");
-        return 2;
-      }
-      frontend = v;
     } else if (arg == "--verbose") {
       verbose = true;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: gvm_lint --root <repo> [--compdb <json>] "
-          "[--frontend internal|clang] [dirs...]\n"
+          "usage: gvm_lint --root <repo> [--compdb <json>] [dirs...]\n"
           "       gvm_lint --root <repo> --selftest <testdata-dir>\n");
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -315,27 +289,7 @@ int main(int argc, char** argv) {
       dirs.push_back(arg);
     }
   }
-  bool use_clang = false;
-  if (frontend == "clang") {
-    if (!gvmlint::ClangFrontendAvailable()) {
-      std::fprintf(stderr,
-                   "gvm-lint: error: this binary was built without the clang "
-                   "frontend (configure with -DGVM_LINT_WITH_CLANG=ON and a "
-                   "Clang dev toolchain)\n");
-      return 2;
-    }
-    if (compdb.empty()) {
-      std::fprintf(stderr,
-                   "gvm-lint: error: --frontend clang requires --compdb\n");
-      return 2;
-    }
-    use_clang = true;
-  } else if (frontend != "internal") {
-    std::fprintf(stderr, "gvm-lint: unknown frontend '%s'\n",
-                 frontend.c_str());
-    return 2;
-  }
   if (!selftest.empty()) return RunSelftest(root, selftest);
   if (dirs.empty()) dirs = {"src", "tests", "bench"};
-  return RunTree(root, compdb, dirs, use_clang, verbose);
+  return RunTree(root, compdb, dirs, verbose);
 }

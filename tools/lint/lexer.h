@@ -1,4 +1,4 @@
-// gvm-lint: C++ tokenizer for the internal frontend.
+// gvm-lint: C++ tokenizer.
 //
 // The analyzer does not preprocess: each file is lexed as-written, with
 // preprocessor directives skipped line-wise and comments mined for lint
@@ -6,9 +6,7 @@
 // the project's own idioms (guard declarations, annotation macros, call
 // shapes), which survive textual analysis because the tree's style is
 // machine-enforced elsewhere (clang-format-ish uniformity, one declaration
-// per line).  The optional libTooling frontend (clang_frontend.cc, gated on
-// GVM_LINT_WITH_CLANG) lowers a real AST into the same model when a Clang
-// development toolchain is present.
+// per line).
 #ifndef GVM_TOOLS_LINT_LEXER_H_
 #define GVM_TOOLS_LINT_LEXER_H_
 

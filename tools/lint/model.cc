@@ -1,4 +1,4 @@
-// gvm-lint internal frontend: lowers a lexed file into the rule model.
+// gvm-lint parser: lowers a lexed file into the rule model.
 //
 // This is a structural parser, not a full C++ parser: it tracks namespaces,
 // classes (with bases and members), function definitions, and inside bodies

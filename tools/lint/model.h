@@ -1,4 +1,4 @@
-// gvm-lint: the translation-unit model both frontends lower into.
+// gvm-lint: the translation-unit model the parser lowers into.
 //
 // The model is deliberately shaped around what the five rules need and
 // nothing more: functions with their guard events and call sites in lexical
@@ -121,7 +121,7 @@ struct Project {
   std::map<std::string, int> rank_values;
 };
 
-// Parses one file into the project model (internal frontend).
+// Parses one file into the project model.
 void ParseFile(const std::string& path, const std::string& display_path,
                const std::string& contents, Project* project);
 
